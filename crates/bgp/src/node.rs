@@ -332,6 +332,12 @@ impl BgpNode {
         self.peers.insert(peer, sess);
     }
 
+    /// The business relationship of the session with `peer` (`None` for
+    /// iBGP sessions, when policies are off, or when no session is up).
+    pub fn peer_relationship(&self, peer: RouterId) -> Option<Relationship> {
+        self.peers.get(peer)?.rel
+    }
+
     /// Ids of current peers, ascending.
     pub fn peer_ids(&self) -> Vec<RouterId> {
         self.peers.ids().collect()

@@ -605,6 +605,10 @@ pub struct Network {
     /// originates the contiguous slot range `first_slot_of_as[a] ..
     /// first_slot_of_as[a + 1]`.
     first_slot_of_as: Vec<u32>,
+    /// Per-AS hierarchy tiers policy relationships derive from (explicit
+    /// `policy_tiers` or graph-inferred), computed once at construction;
+    /// empty when policies are off.
+    pub(crate) tiers: Vec<usize>,
     /// Prefixes withdrawn by burst injection and not re-originated since.
     /// Maintained at injection/revival time only (never from the event
     /// loop), so serial and sharded runs see identical bookkeeping; the
@@ -807,6 +811,7 @@ impl Network {
             origin_of_prefix,
             prefix_table,
             first_slot_of_as,
+            tiers,
             withdrawn: std::collections::BTreeSet::new(),
             last_activity: SimTime::ZERO,
             announcements: 0,
@@ -1341,22 +1346,10 @@ impl Network {
         if !self.cfg.policy || !self.topo.is_inter_as(node, peer) {
             return None;
         }
-        let tiers = self.policy_tier_vec();
         Some(relationship_by_tier(
-            tiers[self.topo.router(node).as_id.index()],
-            tiers[self.topo.router(peer).as_id.index()],
+            self.tiers[self.topo.router(node).as_id.index()],
+            self.tiers[self.topo.router(peer).as_id.index()],
         ))
-    }
-
-    /// The per-AS hierarchy tiers policy relationships derive from —
-    /// explicit configuration when given, graph-inferred otherwise. Pure
-    /// in the topology/config, so the sharded loop precomputes it once per
-    /// pump and shares it read-only across workers.
-    pub(crate) fn policy_tier_vec(&self) -> Vec<usize> {
-        match &self.cfg.policy_tiers {
-            Some(t) => t.clone(),
-            None => as_tiers(&self.topo),
-        }
     }
 
     /// Brings previously failed routers back: each revived router starts
@@ -1388,9 +1381,13 @@ impl Network {
         }
         // Sessions and originations come up at t_up.
         for &r in routers {
-            for (p_idx, &origin) in self.origin_of_prefix.iter().enumerate() {
-                if origin == r {
-                    let prefix = Prefix::new(p_idx as u32);
+            // Only an AS's lowest-id member originates, and its prefixes
+            // are the AS's contiguous slot block.
+            let a = self.topo.router(r).as_id;
+            if self.topo.as_members(a).first() == Some(&r) {
+                for slot in self.first_slot_of_as[a.index()]..self.first_slot_of_as[a.index() + 1] {
+                    let prefix = Prefix::new(slot);
+                    debug_assert_eq!(self.origin_of_prefix[prefix.index()], r);
                     // A revived origin re-announces everything it owns,
                     // including prefixes a burst had withdrawn.
                     self.withdrawn.remove(&prefix);
@@ -1681,16 +1678,12 @@ impl Network {
         let n = self.topo.num_routers();
         let num_prefixes = self.origin_of_prefix.len();
         let mut result = vec![vec![false; num_prefixes]; n];
-        // u's relationship towards v (what u *is* to v) — must match the
-        // construction-time inference exactly.
-        let tiers = match &self.cfg.policy_tiers {
-            Some(t) => t.clone(),
-            None => as_tiers(&self.topo),
-        };
+        // u's relationship towards v (what u *is* to v) — the
+        // construction-time tiers, so it matches the sessions exactly.
         let rel_to = |v: RouterId, u: RouterId| {
             relationship_by_tier(
-                tiers[self.topo.router(v).as_id.index()],
-                tiers[self.topo.router(u).as_id.index()],
+                self.tiers[self.topo.router(v).as_id.index()],
+                self.tiers[self.topo.router(u).as_id.index()],
             )
         };
         // The closure depends only on the origin, so compute it once per
@@ -2243,6 +2236,69 @@ mod tests {
             up.convergence_delay,
             down.convergence_delay
         );
+    }
+
+    #[test]
+    fn policy_revival_restores_construction_relationships() {
+        let scheme = crate::Scheme::batching(0.5).with_policy();
+        let mut net = Network::new(small_topo(43, 40), SimConfig::from_scheme(&scheme, 93));
+        let relationships = |net: &Network| -> Vec<Vec<Option<Relationship>>> {
+            net.topology()
+                .router_ids()
+                .map(|r| {
+                    let node = net.node(r).expect("every router is alive");
+                    net.sessions[r.index()]
+                        .iter()
+                        .map(|&peer| node.peer_relationship(peer))
+                        .collect()
+                })
+                .collect()
+        };
+        let built = relationships(&net);
+        assert!(
+            built.iter().flatten().any(Option::is_some),
+            "policy sessions carry relationships"
+        );
+        net.run_initial_convergence();
+        let failed = net.inject_failure(&FailureSpec::CenterFraction(0.1));
+        assert!(!failed.is_empty());
+        net.run_to_quiescence();
+        net.revive_routers(&failed);
+        net.run_to_quiescence();
+        net.assert_routing_consistent();
+        // Every session re-established by `PeerUp` — on the revived routers
+        // and on their peers — carries the relationship it was built with.
+        assert_eq!(relationships(&net), built);
+    }
+
+    #[test]
+    fn revived_origins_reannounce_their_whole_block() {
+        // Multi-router ASes (only the lowest-id member originates) with a
+        // skewed full table (blocks of many slots per AS): after failure
+        // and revival every router holds the whole table again.
+        use bgpsim_topology::multias::{generate_multi_as, MultiAsConfig};
+        let mut rng = SmallRng::seed_from_u64(44);
+        let topo = generate_multi_as(&MultiAsConfig::realistic(20), &mut rng).unwrap();
+        let scheme =
+            crate::Scheme::constant_mrai(0.5).with_full_table(FullTableSpec::internet_like(80));
+        let mut net = Network::new(topo, SimConfig::from_scheme(&scheme, 94));
+        net.run_initial_convergence();
+        let failed = net.inject_failure(&FailureSpec::CenterFraction(0.1));
+        let lost_origins = failed
+            .iter()
+            .filter(|&&r| {
+                let a = net.topology().router(r).as_id;
+                net.topology().as_members(a).first() == Some(&r)
+            })
+            .count();
+        assert!(lost_origins > 0, "the failure must take an origin down");
+        net.run_to_quiescence();
+        net.revive_routers(&failed);
+        net.run_to_quiescence();
+        net.assert_routing_consistent();
+        for r in net.topology().router_ids() {
+            assert_eq!(net.node(r).unwrap().loc_rib().len(), 80, "router {r}");
+        }
     }
 
     #[test]

@@ -748,15 +748,10 @@ pub(crate) fn pump_sharded(net: &mut Network) {
 
     // World state frozen for the duration of the pump.
     let alive: Vec<bool> = net.nodes.iter().map(Option::is_some).collect();
-    let tiers: Option<Vec<usize>> = if net.cfg.policy {
-        Some(net.policy_tier_vec())
-    } else {
-        None
-    };
     let ctx = ShardCtx {
         topo: &net.topo,
         policy: net.cfg.policy,
-        tiers: tiers.as_deref(),
+        tiers: net.cfg.policy.then_some(&net.tiers[..]),
         alive: &alive,
         dead_links: &net.dead_links,
     };

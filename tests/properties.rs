@@ -3,6 +3,8 @@
 
 use bgpsim::network::{Network, SimConfig};
 use bgpsim::scheme::Scheme;
+use std::collections::{BTreeMap, VecDeque};
+
 use bgpsim_bgp::decision::select_best;
 use bgpsim_bgp::queue::{InputQueue, QueueDiscipline, WorkItem};
 use bgpsim_bgp::rib::{EngineRibIn, NextHop, RouteEntry};
@@ -161,20 +163,171 @@ fn arb_item(peer: u32, prefix: u32, tag: u32) -> WorkItem {
     }
 }
 
+fn discipline_of(which: usize) -> QueueDiscipline {
+    match which {
+        0 => QueueDiscipline::Fifo,
+        1 => QueueDiscipline::Batched,
+        2 => QueueDiscipline::BatchedLargestFirst,
+        _ => QueueDiscipline::TcpBatch { buffer: 7 },
+    }
+}
+
+/// Reference input queue: the plain formulation — one arrival queue for
+/// FIFO and TCP batches, a `BTreeMap` of per-destination `VecDeque`s for
+/// the batched disciplines, destinations picked by scanning every front.
+struct ModelQueue {
+    discipline: QueueDiscipline,
+    fifo: VecDeque<WorkItem>,
+    by_prefix: BTreeMap<Prefix, VecDeque<(u64, WorkItem)>>,
+    next_stamp: u64,
+    deleted_stale: u64,
+    peak_len: usize,
+}
+
+impl ModelQueue {
+    fn new(discipline: QueueDiscipline) -> ModelQueue {
+        ModelQueue {
+            discipline,
+            fifo: VecDeque::new(),
+            by_prefix: BTreeMap::new(),
+            next_stamp: 0,
+            deleted_stale: 0,
+            peak_len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.fifo.len() + self.by_prefix.values().map(VecDeque::len).sum::<usize>()
+    }
+
+    fn push(&mut self, item: WorkItem) {
+        if let QueueDiscipline::Fifo | QueueDiscipline::TcpBatch { .. } = self.discipline {
+            self.fifo.push_back(item);
+        } else {
+            let queue = self.by_prefix.entry(item.prefix()).or_default();
+            queue.push_back((self.next_stamp, item));
+            self.next_stamp += 1;
+        }
+        self.peak_len = self.peak_len.max(self.len());
+    }
+
+    /// Keeps the last item per key, in arrival order; counts the rest.
+    fn keep_newest<K: PartialEq>(
+        &mut self,
+        batch: Vec<WorkItem>,
+        key: fn(&WorkItem) -> K,
+    ) -> Vec<WorkItem> {
+        let keep: Vec<bool> = (0..batch.len())
+            .map(|i| {
+                batch[i + 1..]
+                    .iter()
+                    .all(|later| key(later) != key(&batch[i]))
+            })
+            .collect();
+        self.deleted_stale += keep.iter().filter(|&&k| !k).count() as u64;
+        batch
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(item, k)| k.then_some(item))
+            .collect()
+    }
+
+    fn pop_batch(&mut self) -> Vec<WorkItem> {
+        let front = |q: &VecDeque<(u64, WorkItem)>| q.front().map(|&(stamp, _)| stamp);
+        let prefix = match self.discipline {
+            QueueDiscipline::Fifo => return self.fifo.pop_front().into_iter().collect(),
+            QueueDiscipline::TcpBatch { buffer } => {
+                let Some(peer) = self.fifo.front().map(WorkItem::peer) else {
+                    return Vec::new();
+                };
+                let (mut batch, mut rest) = (Vec::new(), VecDeque::new());
+                for item in self.fifo.drain(..) {
+                    if batch.len() < buffer.max(1) && item.peer() == peer {
+                        batch.push(item);
+                    } else {
+                        rest.push_back(item);
+                    }
+                }
+                self.fifo = rest;
+                return self.keep_newest(batch, WorkItem::prefix);
+            }
+            QueueDiscipline::BatchedLargestFirst => self
+                .by_prefix
+                .iter()
+                .max_by_key(|(_, q)| (q.len(), std::cmp::Reverse(front(q))))
+                .map(|(p, _)| *p),
+            _ => self
+                .by_prefix
+                .iter()
+                .min_by_key(|(_, q)| front(q))
+                .map(|(p, _)| *p),
+        };
+        let Some(prefix) = prefix else {
+            return Vec::new();
+        };
+        let drained = self
+            .by_prefix
+            .remove(&prefix)
+            .expect("chosen destination is queued");
+        self.keep_newest(
+            drained.into_iter().map(|(_, item)| item).collect(),
+            WorkItem::peer,
+        )
+    }
+}
+
 proptest! {
+    /// Differential: random interleaved pushes and pops give the same
+    /// batches, length, peak and stale count as the reference model, for
+    /// every discipline.
+    #[test]
+    fn queue_matches_reference_model(
+        ops in prop::collection::vec((0u32..6, 0u32..6, 0u32..24, 0u32..100), 0..400),
+        pops in 1u32..4,
+        which in 0usize..4,
+    ) {
+        // `pops` sets the pop share (1/6 to 1/2): long backlogs that
+        // outgrow the retained slab, and queues that drain and refill.
+        let discipline = discipline_of(which);
+        let mut q = InputQueue::new(discipline);
+        let mut model = ModelQueue::new(discipline);
+        for &(op, peer, prefix, tag) in &ops {
+            if op < pops {
+                prop_assert_eq!(q.pop_batch(), model.pop_batch());
+            } else if op == pops {
+                let item = WorkItem::ImplicitWithdraw {
+                    peer: RouterId::new(peer),
+                    prefix: Prefix::new(prefix),
+                };
+                q.push(item.clone());
+                model.push(item);
+            } else {
+                q.push(arb_item(peer, prefix, tag));
+                model.push(arb_item(peer, prefix, tag));
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peak_len(), model.peak_len);
+            prop_assert_eq!(q.deleted_stale(), model.deleted_stale);
+        }
+        loop {
+            let batch = q.pop_batch();
+            prop_assert_eq!(&batch, &model.pop_batch());
+            prop_assert_eq!(q.deleted_stale(), model.deleted_stale);
+            if batch.is_empty() {
+                break;
+            }
+        }
+        prop_assert!(q.is_empty());
+    }
+
     /// Conservation: every pushed item is either returned in a batch or
     /// counted as deleted stale — for every discipline.
     #[test]
     fn queue_conserves_items(
         items in prop::collection::vec((0u32..6, 0u32..8, 0u32..100), 0..200),
-        which in 0usize..3,
+        which in 0usize..4,
     ) {
-        let discipline = match which {
-            0 => QueueDiscipline::Fifo,
-            1 => QueueDiscipline::Batched,
-            _ => QueueDiscipline::TcpBatch { buffer: 7 },
-        };
-        let mut q = InputQueue::new(discipline);
+        let mut q = InputQueue::new(discipline_of(which));
         for &(peer, prefix, tag) in &items {
             q.push(arb_item(peer, prefix, tag));
         }
