@@ -42,20 +42,6 @@ fn bench_scheduler(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    c.bench_function("des/calendar schedule+pop 10k events", |b| {
-        use bgpsim_des::CalendarQueue;
-        b.iter(|| {
-            let mut s: CalendarQueue<u64> = CalendarQueue::new();
-            for i in 0..10_000u64 {
-                s.schedule(SimTime::from_nanos((i * 7919) % 100_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, e)) = s.next() {
-                acc = acc.wrapping_add(e);
-            }
-            black_box(acc)
-        })
-    });
 }
 
 fn bench_decision(c: &mut Criterion) {

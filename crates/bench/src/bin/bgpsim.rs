@@ -72,24 +72,32 @@ fn parse_args() -> Result<Args, String> {
                 args.nodes = value("--nodes")?
                     .parse()
                     .map_err(|e| format!("--nodes: {e}"))?;
+                if args.nodes < 2 {
+                    return Err(format!("--nodes must be at least 2, got {}", args.nodes));
+                }
             }
             "--topology" => args.topology = value("--topology")?,
             "--scheme" => args.scheme = value("--scheme")?,
-            "--mrai" => {
-                args.mrai = value("--mrai")?
-                    .parse()
-                    .map_err(|e| format!("--mrai: {e}"))?;
-            }
+            "--mrai" => args.mrai = seconds("--mrai", value("--mrai")?)?,
             "--failure" => {
                 args.failure = value("--failure")?
                     .parse()
                     .map_err(|e| format!("--failure: {e}"))?;
+                if !(0.0..=1.0).contains(&args.failure) {
+                    return Err(format!(
+                        "--failure must be a fraction in [0, 1], got {}",
+                        args.failure
+                    ));
+                }
             }
             "--region" => args.region = value("--region")?,
             "--trials" => {
                 args.trials = value("--trials")?
                     .parse()
                     .map_err(|e| format!("--trials: {e}"))?;
+                if args.trials == 0 {
+                    return Err("--trials must be at least 1, got 0".into());
+                }
             }
             "--seed" => {
                 args.seed = value("--seed")?
@@ -100,11 +108,7 @@ fn parse_args() -> Result<Args, String> {
             "--policy" => args.policy = true,
             "--damping" => args.damping = true,
             "--hold-timer" => {
-                args.hold_timer = Some(
-                    value("--hold-timer")?
-                        .parse()
-                        .map_err(|e| format!("--hold-timer: {e}"))?,
-                );
+                args.hold_timer = Some(seconds("--hold-timer", value("--hold-timer")?)?);
             }
             "--prefixes" => {
                 args.prefixes = value("--prefixes")?
@@ -118,6 +122,17 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// Parses a duration flag's value: finite, non-negative seconds.
+fn seconds(flag: &str, raw: String) -> Result<f64, String> {
+    let secs: f64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if !(secs.is_finite() && secs >= 0.0) {
+        return Err(format!(
+            "{flag} must be a finite, non-negative number of seconds, got {raw}"
+        ));
+    }
+    Ok(secs)
 }
 
 fn usage() {

@@ -8,30 +8,12 @@
 //! (scheme, seed) cell twice — cold (every point re-converges from scratch)
 //! and warm (points fork a shared converged snapshot, see `bgpsim::warm`) —
 //! and reports the sweep wall-time speedup plus snapshot build/fork cost
-//! and cache hit/miss counters. A third section compares the two
-//! future-event-list backends (binary heap vs calendar queue, env knob
-//! `BGPSIM_FEL`) on the same matrix; the heap stays the default unless the
-//! calendar wins here. A fourth section exercises the sharded event loop
-//! (`BGPSIM_SHARDS` / `BGPSIM_COMMIT_STREAMS`): single trials at 1/2/4/8
-//! shards on the 120- and 512-node matrices with the
-//! destination-partitioned parallel commit enabled (one stream per
-//! shard), plus a commit-isolation row at the top shard count with the
-//! parallel commit off — the destination-major axis. Every row asserts
-//! bit-identical `RunStats` against the serial run and reports requested
-//! shards, the *effective* worker parallelism (capped by the machine's
-//! cores — on a 1-core box the sharded rows measure coordination
-//! overhead, not speedup, and say so), and the engine's per-phase
-//! wall-clock split (partition/drain scan, Phase A execute, Phase B
-//! walk, commit+merge, mailbox exchange) plus its serial fraction.
-//! A `small-epoch` section follows: the per-epoch coordination cost of
-//! the old `mpsc` channel handoff vs the parked worker pool, in
-//! ns/epoch for empty and 16-op epochs (see `run_small_epoch_section`).
-//! A fifth section measures structured-tracing overhead: the same
-//! re-convergence with the sink Off (the default one-branch hooks) and
-//! with a Memory ring recording everything, asserting bit-identical
-//! `RunStats` — the Off row is the number to diff against a pre-tracing
-//! baseline (bar: ≤ 2%).
-//! A sixth, `memory` section runs one batching trial per scale point
+//! and cache hit/miss counters. A third section measures
+//! structured-tracing overhead: the same re-convergence with the sink Off
+//! (the default one-branch hooks) and with a Memory ring recording
+//! everything, asserting bit-identical `RunStats` — the Off row is the
+//! number to diff against a pre-tracing baseline (bar: ≤ 2%).
+//! A fourth, `memory` section runs one batching trial per scale point
 //! (120 and 512 nodes; just the matrix size under `--fast`), each in a
 //! fresh child process (`--memory-point N` re-exec) so the `VmHWM`
 //! watermark is the trial's own peak, and records peak RSS, routing-state
@@ -41,7 +23,7 @@
 //! numbers the compact delta-encoded RIBs are accountable to
 //! (DESIGN.md §12). The 10k-AS point lives in the separate
 //! `largescale` bin, which CI runs with a hard RSS ceiling.
-//! A seventh, `fulltable` section sweeps the routing-table-size axis:
+//! A fifth, `fulltable` section sweeps the routing-table-size axis:
 //! one burst-withdrawal trial per table size (power-law full-table
 //! allocation through the prefix trie, central 10% of origins withdraw
 //! their blocks in one storm), each in a fresh child process
@@ -51,20 +33,12 @@
 //! be compared number-for-number against a recorded baseline.
 //!
 //! ```text
-//! hotpath [--fast] [--nodes N] [--threads T] [--out PATH] [--multicore-gate]
-//!         [--memory-point N]
+//! hotpath [--fast] [--nodes N] [--threads T] [--out PATH]
+//!         [--memory-point N] [--fulltable-point P]
 //! ```
 //!
 //! `--fast` (or `BENCH_FAST=1`) shrinks the matrix to one seed on a small
 //! topology — the CI smoke configuration.
-//!
-//! `--multicore-gate` runs *only* the multi-core speedup gate and exits:
-//! the 512-node batching workload serial vs 4 shards × 4 commit streams,
-//! asserting bit-identity and — on machines with ≥ 4 cores — failing the
-//! process unless the sharded run is ≥ 2× faster. On fewer cores the gate
-//! skips loudly (the speedup is physically unreachable) but still checks
-//! identity; it never passes vacuously without saying so in its output
-//! and JSON (`enforced: false`).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -92,7 +66,6 @@ struct Args {
     nodes: Option<usize>,
     threads: Option<usize>,
     out: String,
-    multicore_gate: bool,
     memory_point: Option<usize>,
     fulltable_point: Option<u32>,
 }
@@ -106,7 +79,6 @@ impl Default for Args {
             nodes: None,
             threads: None,
             out: "BENCH_hotpath.json".into(),
-            multicore_gate: false,
             memory_point: None,
             fulltable_point: None,
         }
@@ -135,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--out" => args.out = value("--out")?,
-            "--multicore-gate" => args.multicore_gate = true,
             "--memory-point" => {
                 args.memory_point = Some(
                     value("--memory-point")?
@@ -159,7 +130,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() {
     eprintln!(
-        "usage: hotpath [--fast] [--nodes N] [--threads T] [--out PATH] [--multicore-gate] \
+        "usage: hotpath [--fast] [--nodes N] [--threads T] [--out PATH] \
          [--memory-point N] [--fulltable-point P]"
     );
 }
@@ -188,35 +159,12 @@ fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// Restores an env knob to its pre-bench state.
-fn restore_env(key: &str, prev: Option<String>) {
-    match prev {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    }
-}
-
-/// The sharded engine's per-phase wall-clock split as a JSON object.
-fn phases_json(t: &bgpsim::ShardPhaseTimings) -> serde_json::Value {
-    serde_json::json!({
-        "epochs": t.epochs,
-        "parallel_commit_epochs": t.parallel_commit_epochs,
-        "inline_phase_a_epochs": t.inline_phase_a_epochs,
-        "drain_secs": t.drain_secs,
-        "phase_a_secs": t.phase_a_secs,
-        "phase_b_secs": t.phase_b_secs,
-        "merge_secs": t.merge_secs,
-        "mailbox_exchange_secs": t.mailbox_exchange_secs,
-        "serial_fraction": t.serial_fraction(),
-    })
-}
-
 /// `--memory-point N`: child mode for the memory-footprint section. Runs
 /// exactly one batching trial at `N` nodes in this process and prints the
 /// measurement row as JSON on stdout. The parent re-execs itself with this
 /// flag per scale point so every point gets a fresh address space: `VmHWM`
 /// then *is* the trial's peak, untainted by allocator retention from the
-/// earlier matrix/sharded/tracing sections (`clear_refs` only drops the
+/// earlier matrix/warm-start/tracing sections (`clear_refs` only drops the
 /// watermark to the current RSS, which never shrinks below what the
 /// allocator holds on to).
 fn run_memory_point(sz: usize) -> ExitCode {
@@ -321,220 +269,6 @@ fn run_fulltable_point(table: u32, fast: bool) -> ExitCode {
     }
 }
 
-/// `small-epoch` section: per-epoch coordination overhead, measured bare.
-///
-/// Isolates what one sharded epoch costs when the epoch itself is nearly
-/// free — the regime convergence tails live in, where most epochs carry a
-/// handful of MRAI timers. Two mechanisms run the same `workers`-way
-/// fan-out + barrier per epoch:
-///
-/// * `channel`: the old per-epoch handoff — persistent scoped threads,
-///   one `mpsc` work send and one reply receive per worker per epoch.
-/// * `pool`: the parked worker pool the engine now uses
-///   ([`bgpsim::pool`]) — `Scope::spawn` per worker plus the helping
-///   `Scope::wait` barrier, no channels.
-///
-/// Rows measure an empty epoch (pure barrier) and a 16-op epoch (the
-/// `PHASE_A_PAR_MIN_OPS` threshold, ops split across workers; each op is
-/// a black-boxed atomic add). Both mechanisms must produce the same op
-/// sums — a divergence is a harness bug and panics.
-fn run_small_epoch_section(fast: bool) -> serde_json::Value {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::mpsc;
-
-    fn spin(ops: u64, sink: &AtomicU64) {
-        for i in 0..ops {
-            sink.fetch_add(std::hint::black_box(i + 1), Ordering::Relaxed);
-        }
-    }
-
-    let workers = 4usize;
-    let epochs: u64 = if fast { 20_000 } else { 100_000 };
-    let mut rows = Vec::new();
-    for total_ops in [0u64, 16] {
-        let per_worker = total_ops / workers as u64;
-
-        let channel_sink = AtomicU64::new(0);
-        let channel_secs = crossbeam::thread::scope(|scope| {
-            let mut work_txs = Vec::with_capacity(workers);
-            let mut reply_rxs = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (wtx, wrx) = mpsc::channel::<u64>();
-                let (rtx, rrx) = mpsc::channel::<()>();
-                let sink = &channel_sink;
-                scope.spawn(move |_| {
-                    while let Ok(ops) = wrx.recv() {
-                        spin(ops, sink);
-                        if rtx.send(()).is_err() {
-                            break;
-                        }
-                    }
-                });
-                work_txs.push(wtx);
-                reply_rxs.push(rrx);
-            }
-            let started = Instant::now();
-            for _ in 0..epochs {
-                for tx in &work_txs {
-                    tx.send(per_worker).expect("bench worker alive");
-                }
-                for rx in &reply_rxs {
-                    rx.recv().expect("bench worker alive");
-                }
-            }
-            let took = started.elapsed().as_secs_f64();
-            drop(work_txs); // hang up so the scope's join can complete
-            took
-        })
-        .expect("channel bench workers don't panic");
-
-        let pool_sink = AtomicU64::new(0);
-        let pool = bgpsim::pool::global();
-        let started = Instant::now();
-        pool.scope(|s| {
-            for _ in 0..epochs {
-                for _ in 0..workers {
-                    let sink = &pool_sink;
-                    s.spawn(move || spin(per_worker, sink));
-                }
-                s.wait();
-            }
-        });
-        let pool_secs = started.elapsed().as_secs_f64();
-
-        assert_eq!(
-            channel_sink.into_inner(),
-            pool_sink.into_inner(),
-            "small-epoch: mechanisms disagree on op count"
-        );
-        let channel_ns = channel_secs * 1e9 / epochs as f64;
-        let pool_ns = pool_secs * 1e9 / epochs as f64;
-        rows.push(serde_json::json!({
-            "ops_per_epoch": total_ops,
-            "channel_ns_per_epoch": channel_ns,
-            "pool_ns_per_epoch": pool_ns,
-            "pool_speedup": if pool_ns > 0.0 { channel_ns / pool_ns } else { 0.0 },
-        }));
-    }
-    serde_json::json!({
-        "workers": workers,
-        "epochs_per_row": epochs,
-        "rows": rows,
-    })
-}
-
-/// How many shards and commit streams the multi-core gate runs, and the
-/// aggregate speedup it demands when it has the cores to demand one.
-const GATE_SHARDS: usize = 4;
-const GATE_MIN_SPEEDUP: f64 = 2.0;
-
-/// `--multicore-gate`: serial vs `GATE_SHARDS`-way sharded (one commit
-/// stream per shard) on the 512-node batching workload. Bit-identity is
-/// always a hard failure; the ≥ `GATE_MIN_SPEEDUP`× aggregate-speedup bar
-/// is enforced only on machines with at least `GATE_SHARDS` cores — below
-/// that the bar is physically unreachable, so the gate *skips loudly*:
-/// the verdict line, exit status and JSON (`enforced: false`) all say the
-/// speedup went unchecked rather than passing it silently.
-fn run_multicore_gate(args: &Args) -> ExitCode {
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    let nodes = args.nodes.unwrap_or(if args.fast { 120 } else { 512 });
-    let exp = Experiment {
-        topology: TopologySpec::seventy_thirty(nodes),
-        scheme: Scheme::batching(0.5),
-        failure: FailureSpec::CenterFraction(FAILURE_FRACTION),
-        trials: 1,
-        base_seed: SEEDS[0],
-    };
-    let prev_shards = std::env::var("BGPSIM_SHARDS").ok();
-    let prev_streams = std::env::var("BGPSIM_COMMIT_STREAMS").ok();
-    let run = |shards: usize| {
-        std::env::set_var("BGPSIM_SHARDS", shards.to_string());
-        std::env::set_var("BGPSIM_COMMIT_STREAMS", shards.to_string());
-        let started = Instant::now();
-        let (stats, net) = exp.run_trial_with_network(0);
-        let wall = started.elapsed().as_secs_f64();
-        (stats, wall, net.shard_phase_timings())
-    };
-    println!("multicore gate: {nodes}-node batching workload, {cores} cores available");
-    let (serial_stats, serial_wall, _) = run(1);
-    println!(
-        "  serial:              {serial_wall:7.2} s   ({} events)",
-        serial_stats.events
-    );
-    let (sharded_stats, sharded_wall, phases) = run(GATE_SHARDS);
-    restore_env("BGPSIM_SHARDS", prev_shards);
-    restore_env("BGPSIM_COMMIT_STREAMS", prev_streams);
-    let identical = sharded_stats == serial_stats;
-    let speedup = if sharded_wall > 0.0 {
-        serial_wall / sharded_wall
-    } else {
-        0.0
-    };
-    println!(
-        "  {GATE_SHARDS} shards x {GATE_SHARDS} streams: {sharded_wall:7.2} s   {speedup:.2}x vs serial"
-    );
-    println!(
-        "    phases: drain {:.2} s | A {:.2} s | walk {:.2} s | commit+merge {:.2} s | \
-         exchange {:.2} s ({}/{} epochs parallel, serial fraction {:.0}%)",
-        phases.drain_secs,
-        phases.phase_a_secs,
-        phases.phase_b_secs,
-        phases.merge_secs,
-        phases.mailbox_exchange_secs,
-        phases.parallel_commit_epochs,
-        phases.epochs,
-        phases.serial_fraction() * 100.0
-    );
-    let enforced = cores >= GATE_SHARDS;
-    let speedup_ok = speedup >= GATE_MIN_SPEEDUP;
-    let passed = identical && (!enforced || speedup_ok);
-    let payload = serde_json::json!({
-        "harness": "hotpath-multicore-gate",
-        "nodes": nodes,
-        "scheme": "batching (MRAI=0.5)",
-        "seed": SEEDS[0],
-        "cores_available": cores,
-        "shards": GATE_SHARDS,
-        "commit_streams": GATE_SHARDS,
-        "serial_wall_secs": serial_wall,
-        "sharded_wall_secs": sharded_wall,
-        "speedup": speedup,
-        "required_speedup": GATE_MIN_SPEEDUP,
-        "identical_to_serial": identical,
-        "phases": phases_json(&phases),
-        "enforced": enforced,
-        "passed": passed,
-    });
-    let text = serde_json::to_string_pretty(&payload).expect("serializable") + "\n";
-    if let Err(e) = std::fs::write(&args.out, &text) {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  written to {}", args.out);
-    if !identical {
-        eprintln!("error: multicore gate: {GATE_SHARDS}-shard run diverged from serial");
-        return ExitCode::FAILURE;
-    }
-    if !enforced {
-        println!(
-            "  SKIPPED (not enforced): {cores} core(s) < {GATE_SHARDS} — a {GATE_MIN_SPEEDUP}x \
-             bar is unreachable here; identity was still verified"
-        );
-        return ExitCode::SUCCESS;
-    }
-    if !speedup_ok {
-        eprintln!(
-            "error: multicore gate: {speedup:.2}x < required {GATE_MIN_SPEEDUP:.2}x \
-             on {cores} cores"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("  PASSED: {speedup:.2}x >= {GATE_MIN_SPEEDUP:.2}x on {cores} cores");
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -551,9 +285,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.multicore_gate {
-        return run_multicore_gate(&args);
-    }
     if let Some(sz) = args.memory_point {
         return run_memory_point(sz);
     }
@@ -740,150 +471,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // ── FEL backend comparison ──────────────────────────────────────────
-    // The same 1-seed scheme matrix through both future-event-list
-    // backends (`BGPSIM_FEL`). Results must be bit-identical — the
-    // calendar queue is property-tested to deliver the heap's exact order
-    // — so the only difference is events/sec. The heap stays the default
-    // backend unless the calendar wins this section.
-    let fel_points: Vec<Experiment> = schemes
-        .iter()
-        .map(|s| point(s, seeds[0], nodes, FAILURE_FRACTION))
-        .collect();
-    let prev_fel = std::env::var("BGPSIM_FEL").ok();
-    let mut fel_rows: Vec<serde_json::Value> = Vec::new();
-    let mut fel_results = Vec::new();
-    let mut fel_secs = Vec::new();
-    for backend in ["heap", "calendar"] {
-        std::env::set_var("BGPSIM_FEL", backend);
-        let started = Instant::now();
-        let (agg, _) = run_all_parallel_timed_cold(&fel_points, args.threads);
-        let secs = started.elapsed().as_secs_f64();
-        let ev: u64 = agg.iter().flat_map(|a| &a.runs).map(|r| r.events).sum();
-        fel_rows.push(serde_json::json!({
-            "backend": backend,
-            "wall_secs": secs,
-            "events": ev,
-            "events_per_sec": if secs > 0.0 { ev as f64 / secs } else { 0.0 },
-        }));
-        fel_results.push(agg);
-        fel_secs.push(secs);
-    }
-    restore_env("BGPSIM_FEL", prev_fel);
-    let fel_identical = fel_results[0] == fel_results[1];
-    if !fel_identical {
-        eprintln!("error: calendar-queue run diverged from the heap run");
-        return ExitCode::FAILURE;
-    }
-    let fel_winner = if fel_secs[1] < fel_secs[0] {
-        "calendar"
-    } else {
-        "heap"
-    };
-
-    // ── Sharded event loop ──────────────────────────────────────────────
-    // Single trials at increasing shard counts, on the standard matrix
-    // size and on a larger 512-node topology where the per-epoch work is
-    // big enough to amortise the epoch barrier. The 120-node rows use the
-    // message-heaviest scheme (constant MRAI = 0.5); at 512 nodes that
-    // scheme's path-hunting blow-up — the paper's motivating pathology —
-    // makes a single trial take tens of minutes, so the 512-node rows use
-    // the paper's batching scheme, which is what anyone simulating at that
-    // scale would run. Every row is checked bit-identical against the
-    // serial (1-shard) run. Requested shards and *effective* workers are
-    // reported separately: the engine spawns as many workers as requested,
-    // but only `min(shards, cores)` can run at once, so on a 1-core
-    // machine the >1-shard rows measure determinism overhead, not speedup.
-    let parallelism_available = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    let shard_cases: Vec<(usize, &Scheme)> = if args.fast {
-        vec![(nodes, &schemes[0])]
-    } else {
-        vec![(120, &schemes[0]), (512, &schemes[1])]
-    };
-    let shard_counts: Vec<usize> = if args.fast {
-        vec![1, 2]
-    } else {
-        vec![1, 2, 4, 8]
-    };
-    // Row axis. The main rows run each shard count at the engine's
-    // *default* stream resolution — `min(shards, cores)` — so the
-    // recorded overhead/speedup is what a user gets out of the box on
-    // this machine (on a 1-core container that means inline commit, and
-    // the rows measure determinism overhead exactly as before). The
-    // destination-major axis is then pinned explicitly at the top shard
-    // count: one row with the parallel commit forced fully on (one
-    // stream per shard) and one with it forced off (single stream), so
-    // the commit axis's contribution is measurable in isolation on any
-    // machine.
-    let default_streams = |k: usize| k.min(parallelism_available).max(1);
-    let mut row_specs: Vec<(usize, usize)> = shard_counts
-        .iter()
-        .map(|&k| (k, default_streams(k)))
-        .collect();
-    let &max_shards = shard_counts.iter().max().expect("shard counts nonempty");
-    if max_shards > 1 {
-        for forced in [max_shards, 1] {
-            if default_streams(max_shards) != forced {
-                row_specs.push((max_shards, forced));
-            }
-        }
-    }
-    let prev_shards = std::env::var("BGPSIM_SHARDS").ok();
-    let prev_streams = std::env::var("BGPSIM_COMMIT_STREAMS").ok();
-    let mut sharded_sections: Vec<serde_json::Value> = Vec::new();
-    for &(sz, scheme) in &shard_cases {
-        let exp = point(scheme, seeds[0], sz, FAILURE_FRACTION);
-        let mut serial: Option<(bgpsim::RunStats, f64)> = None;
-        let mut rows: Vec<serde_json::Value> = Vec::new();
-        for &(k, streams) in &row_specs {
-            std::env::set_var("BGPSIM_SHARDS", k.to_string());
-            std::env::set_var("BGPSIM_COMMIT_STREAMS", streams.to_string());
-            let started = Instant::now();
-            let (stats, net) = exp.run_trial_with_network(0);
-            let wall = started.elapsed().as_secs_f64();
-            if let Some((serial_stats, _)) = &serial {
-                if stats != *serial_stats {
-                    restore_env("BGPSIM_SHARDS", prev_shards);
-                    restore_env("BGPSIM_COMMIT_STREAMS", prev_streams);
-                    eprintln!(
-                        "error: {k}-shard / {streams}-stream run diverged from serial at {sz} nodes"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            let serial_wall = serial.as_ref().map(|&(_, w)| w).unwrap_or(wall);
-            let timings = net.shard_phase_timings();
-            rows.push(serde_json::json!({
-                "shards_requested": k,
-                "commit_streams": streams,
-                "workers_effective": k.min(parallelism_available),
-                "wall_secs": wall,
-                "events": stats.events,
-                "events_per_sec": if wall > 0.0 { stats.events as f64 / wall } else { 0.0 },
-                "speedup_vs_serial": if wall > 0.0 { serial_wall / wall } else { 0.0 },
-                "identical_to_serial": true,
-                // Serial rows never enter the sharded loop; phases are null.
-                "phases": if k > 1 { phases_json(&timings) } else { serde_json::Value::Null },
-            }));
-            if serial.is_none() {
-                serial = Some((stats, wall));
-            }
-        }
-        sharded_sections.push(serde_json::json!({
-            "nodes": sz,
-            "scheme": scheme.name,
-            "seed": seeds[0],
-            "rows": rows,
-        }));
-    }
-    restore_env("BGPSIM_SHARDS", prev_shards);
-    restore_env("BGPSIM_COMMIT_STREAMS", prev_streams);
-
-    // ── Small-epoch coordination overhead ───────────────────────────────
-    let small_epoch = run_small_epoch_section(args.fast);
-
     // ── Tracing overhead ────────────────────────────────────────────────
     // The same re-convergence run three ways: sink left Off (the default —
     // every hook site is one `Option` branch), a Memory ring recording the
@@ -941,18 +528,17 @@ fn main() -> ExitCode {
     };
 
     // This totals figure keeps its historical meaning: peak since the last
-    // scheme-batch reset, covering the sweep/FEL/sharded/tracing sections.
+    // scheme-batch reset, covering the sweep and tracing sections.
     let totals_peak_rss_kb = peak_rss_kb();
 
     // ── Memory footprint ────────────────────────────────────────────────
     // One full batching trial per scale point, each in a *fresh child
     // process* (re-exec of this binary with `--memory-point N`). A fresh
     // address space is the only honest watermark: `clear_refs` resets
-    // `VmHWM` to the current RSS, and the allocator retains hundreds of MB
-    // from the earlier 512-node sharded section, so in-process resets made
-    // the small points inherit the big points' peaks. The batching scheme
-    // is the one anyone simulates large topologies with (the 512-node
-    // sharded rows above use it for the same reason); the child keeps its
+    // `VmHWM` to the current RSS, and the allocator retains what the
+    // earlier sections allocated, so in-process resets made the small
+    // points inherit the big points' peaks. The batching scheme is the one
+    // anyone simulates large topologies with; the child keeps its
     // final network alive so the routing-state heap can be audited route
     // by route (`Network::memory_footprint`). `peak_rss_kb` is
     // process-wide (FEL, queues and allocator slack included),
@@ -1092,18 +678,6 @@ fn main() -> ExitCode {
             "results_identical": identical,
             "per_scheme": per_scheme,
         }),
-        "fel": serde_json::json!({
-            "backends": fel_rows,
-            "results_identical": fel_identical,
-            "winner": fel_winner,
-            "default": "heap",
-        }),
-        "sharded": serde_json::json!({
-            "parallelism_available": parallelism_available,
-            "shard_counts": shard_counts,
-            "sections": sharded_sections,
-        }),
-        "small_epoch": small_epoch,
         "fulltable": serde_json::json!({
             "failure_fraction": FAILURE_FRACTION,
             "points": fulltable_rows,
@@ -1174,60 +748,6 @@ fn main() -> ExitCode {
             } else {
                 0.0
             }
-        );
-    }
-    println!("FEL backends ({} nodes, {} schemes):", nodes, schemes.len());
-    for row in &fel_rows {
-        println!(
-            "  {:9} {:6.2} s   {:.0} events/sec",
-            row["backend"].as_str().unwrap_or("?"),
-            row["wall_secs"].as_f64().unwrap_or(0.0),
-            row["events_per_sec"].as_f64().unwrap_or(0.0)
-        );
-    }
-    println!("  winner: {fel_winner} (default stays heap)");
-    println!("sharded event loop ({parallelism_available} cores available):");
-    for section in &sharded_sections {
-        println!("  {} nodes:", section["nodes"].as_u64().unwrap_or(0));
-        for row in section["rows"].as_array().into_iter().flatten() {
-            println!(
-                "    {} shards x {} streams ({} effective): {:6.2} s   {:.0} events/sec   {:.2}x vs serial",
-                row["shards_requested"].as_u64().unwrap_or(0),
-                row["commit_streams"].as_u64().unwrap_or(0),
-                row["workers_effective"].as_u64().unwrap_or(0),
-                row["wall_secs"].as_f64().unwrap_or(0.0),
-                row["events_per_sec"].as_f64().unwrap_or(0.0),
-                row["speedup_vs_serial"].as_f64().unwrap_or(0.0)
-            );
-            let p = &row["phases"];
-            if !p.is_null() {
-                println!(
-                    "      phases: drain {:.2} s | A {:.2} s | walk {:.2} s | commit+merge {:.2} s | \
-                     exchange {:.2} s ({}/{} epochs parallel, serial fraction {:.0}%)",
-                    p["drain_secs"].as_f64().unwrap_or(0.0),
-                    p["phase_a_secs"].as_f64().unwrap_or(0.0),
-                    p["phase_b_secs"].as_f64().unwrap_or(0.0),
-                    p["merge_secs"].as_f64().unwrap_or(0.0),
-                    p["mailbox_exchange_secs"].as_f64().unwrap_or(0.0),
-                    p["parallel_commit_epochs"].as_u64().unwrap_or(0),
-                    p["epochs"].as_u64().unwrap_or(0),
-                    p["serial_fraction"].as_f64().unwrap_or(0.0) * 100.0
-                );
-            }
-        }
-    }
-    println!(
-        "small-epoch overhead ({} workers, {} epochs/row):",
-        small_epoch["workers"].as_u64().unwrap_or(0),
-        small_epoch["epochs_per_row"].as_u64().unwrap_or(0)
-    );
-    for row in small_epoch["rows"].as_array().into_iter().flatten() {
-        println!(
-            "  {:2}-op epoch: channel handoff {:8.0} ns/epoch   parked pool {:8.0} ns/epoch   ({:.2}x)",
-            row["ops_per_epoch"].as_u64().unwrap_or(0),
-            row["channel_ns_per_epoch"].as_f64().unwrap_or(0.0),
-            row["pool_ns_per_epoch"].as_f64().unwrap_or(0.0),
-            row["pool_speedup"].as_f64().unwrap_or(0.0)
         );
     }
     println!("tracing overhead (re-convergence, best of {trace_runs}):");

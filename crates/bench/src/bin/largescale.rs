@@ -225,24 +225,6 @@ fn main() -> ExitCode {
     );
 
     net.assert_routing_consistent();
-    // Sharded runs (BGPSIM_SHARDS > 1) accumulate a per-phase wall-clock
-    // split; at Internet scale the Amdahl view (DESIGN.md §10) is the
-    // number that matters, so print and record it whenever it is nonzero.
-    let phases = net.shard_phase_timings();
-    if phases.epochs > 0 {
-        println!(
-            "  shard phases:   drain {:.2} s | A {:.2} s | walk {:.2} s | commit+merge {:.2} s | \
-             exchange {:.2} s ({}/{} epochs parallel, serial fraction {:.0}%)",
-            phases.drain_secs,
-            phases.phase_a_secs,
-            phases.phase_b_secs,
-            phases.merge_secs,
-            phases.mailbox_exchange_secs,
-            phases.parallel_commit_epochs,
-            phases.epochs,
-            phases.serial_fraction() * 100.0
-        );
-    }
     let final_fp = net.memory_footprint();
     let peak = peak_rss_kb();
     let rss_bytes_per_route = peak
@@ -283,23 +265,6 @@ fn main() -> ExitCode {
         "rss_ceiling_mb": args.rss_ceiling_mb,
         "ceiling_exceeded": ceiling_exceeded,
         "routing_consistent": true,
-        "shards": net.shard_count(),
-        "commit_streams": net.commit_stream_count(),
-        "shard_phases": if phases.epochs > 0 {
-            serde_json::json!({
-                "epochs": phases.epochs,
-                "parallel_commit_epochs": phases.parallel_commit_epochs,
-                "inline_phase_a_epochs": phases.inline_phase_a_epochs,
-                "drain_secs": phases.drain_secs,
-                "phase_a_secs": phases.phase_a_secs,
-                "phase_b_secs": phases.phase_b_secs,
-                "merge_secs": phases.merge_secs,
-                "mailbox_exchange_secs": phases.mailbox_exchange_secs,
-                "serial_fraction": phases.serial_fraction(),
-            })
-        } else {
-            serde_json::Value::Null
-        },
         "converged": footprint_json(&converged_fp),
         "final": footprint_json(&final_fp),
     });

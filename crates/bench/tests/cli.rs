@@ -23,6 +23,33 @@ fn unknown_flag_fails_with_usage() {
 }
 
 #[test]
+fn out_of_range_inputs_fail_with_usage_instead_of_panicking() {
+    for (flag, value) in [
+        ("--nodes", "0"),
+        ("--nodes", "1"),
+        ("--failure", "1.5"),
+        ("--failure", "-0.1"),
+        ("--mrai", "-1"),
+        ("--mrai", "nan"),
+        ("--hold-timer", "inf"),
+        ("--trials", "0"),
+    ] {
+        let out = bgpsim().args([flag, value]).output().expect("binary runs");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {text}");
+        assert!(
+            text.contains(&format!("error: {flag}")),
+            "{flag} {value}: diagnostic must name the flag: {text}"
+        );
+        assert!(
+            text.contains("usage: bgpsim"),
+            "{flag} {value}: no usage: {text}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value}: ran anyway");
+    }
+}
+
+#[test]
 fn small_run_reports_results() {
     let out = bgpsim()
         .args([

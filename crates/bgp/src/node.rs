@@ -467,12 +467,6 @@ impl BgpNode {
             .flatten()
     }
 
-    /// Takes the buffered trace events as a `Vec` (used by the sharded
-    /// loop, which ships them to the serial commit phase).
-    pub fn take_trace(&mut self) -> Vec<NodeEvent> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
     #[inline]
     fn trace_push(&mut self, ev: NodeEvent) {
         if let Some(buf) = &mut self.trace {

@@ -159,9 +159,7 @@ impl Experiment {
 
     /// Like [`run_trial`](Experiment::run_trial), but hands back the
     /// finished network alongside the stats so callers can inspect
-    /// post-run instrumentation — notably
-    /// [`Network::shard_phase_timings`] for the sharded event loop's
-    /// per-phase wall-clock breakdown.
+    /// post-run instrumentation such as [`Network::memory_footprint`].
     pub fn run_trial_with_network(&self, trial: u32) -> (RunStats, Network) {
         let mut net = self.build_network(trial);
         let stats = net.run_failure_experiment(&self.failure);
@@ -369,13 +367,7 @@ fn run_all_parallel_inner(
 
     let workers = threads.min(tasks.len().max(1));
     // Trial workers are plain scoped threads: there are few of them and
-    // they live for the whole batch, so spawn cost is noise. The epoch
-    // fan-out inside each trial's sharded pump is what runs on the
-    // process-wide parked pool (`crate::pool::global`) — one pool,
-    // reused across every epoch of every trial in the batch, so sweeps
-    // never pay a per-trial thread-pool setup. Concurrent pumps open
-    // concurrent scopes on that shared pool; its helping barrier keeps
-    // them from starving each other even when workers < pumps.
+    // they live for the whole batch, so spawn cost is noise.
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| loop {

@@ -61,11 +61,9 @@ pub mod extensions;
 pub mod figures;
 pub mod metrics;
 pub mod network;
-pub mod pool;
 pub mod report;
 pub mod scenario;
 pub mod scheme;
-mod shard;
 pub mod trace;
 pub mod warm;
 
@@ -73,6 +71,5 @@ pub use experiment::{Aggregate, Experiment, TopologySpec};
 pub use metrics::RunStats;
 pub use network::{FullTableSpec, MemoryFootprint, Network, SimConfig};
 pub use scheme::Scheme;
-pub use shard::ShardPhaseTimings;
 pub use trace::{Timeline, TraceEvent, TraceSink};
 pub use warm::{NetworkSnapshot, SnapshotCache, SnapshotKey, WarmStats};

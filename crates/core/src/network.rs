@@ -23,7 +23,7 @@ use bgpsim_bgp::node::Action;
 use bgpsim_bgp::policy::{relationship_by_tier, PolicyMode, Relationship};
 use bgpsim_bgp::queue::QueueDiscipline;
 use bgpsim_bgp::{BgpNode, NodeConfig, Prefix, UpdateMsg};
-use bgpsim_des::{Fel, FelKind, RngStreams, SimDuration, SimTime};
+use bgpsim_des::{RngStreams, Scheduler, SimDuration, SimTime};
 use bgpsim_topology::region::FailureSpec;
 use bgpsim_topology::{AsId, RouterId, Topology};
 use rand::Rng;
@@ -88,8 +88,7 @@ pub enum DetectionMode {
 /// the §5 "200,000 destinations" observation made a real workload.
 ///
 /// The plan is a pure function of `(as_count, total_prefixes, skew)` — no
-/// RNG stream is touched — so full-table runs stay bit-reproducible and
-/// byte-identical between the serial and sharded engines.
+/// RNG stream is touched — so full-table runs stay bit-reproducible.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FullTableSpec {
     /// Total prefixes across the network (every AS originates at least
@@ -159,23 +158,6 @@ pub struct SimConfig {
     /// inferred from the graph (BFS depth from the maximum k-core).
     /// Hierarchical topologies pass their ground-truth tiers here.
     pub policy_tiers: Option<Vec<usize>>,
-    /// Shard count for the sharded event loop (conservative PDES with
-    /// `link_delay` lookahead — see the `shard` module). `None` falls back
-    /// to the `BGPSIM_SHARDS` environment variable, absent → 1 (serial).
-    /// Any value yields bit-identical results; >1 buys wall-clock from
-    /// cores inside a single trial.
-    pub shards: Option<usize>,
-    /// Parallel commit streams for the sharded loop's epoch commit: the
-    /// recorded action traces are partitioned by destination prefix and
-    /// applied on this many worker streams before the deterministic merge
-    /// (see the `shard` module). `None` falls back to the
-    /// `BGPSIM_COMMIT_STREAMS` environment variable, absent →
-    /// `min(shards, available cores)`. Any value yields bit-identical
-    /// results; the value is clamped to `1..=shards`.
-    pub commit_streams: Option<usize>,
-    /// Future-event-list backend. `None` falls back to the `BGPSIM_FEL`
-    /// environment variable (`heap`/`calendar`), absent → binary heap.
-    pub fel: Option<FelKind>,
     /// Root seed for all randomness in this run.
     pub seed: u64,
 }
@@ -203,9 +185,6 @@ impl SimConfig {
             damping: None,
             ibgp_mode: IbgpMode::FullMesh,
             policy_tiers: None,
-            shards: None,
-            commit_streams: None,
-            fel: None,
             seed,
         }
     }
@@ -266,9 +245,24 @@ impl SimConfig {
     }
 }
 
+/// The future-event-list backend, as reported by [`Network::fel_kind`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FelKind {
+    /// The binary-heap [`Scheduler`].
+    #[default]
+    Heap,
+}
+
+/// What [`Network::shard_phase_timings`] reports.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardPhaseTimings {
+    /// Epochs of the removed partitioned event loop: always 0.
+    pub epochs: u64,
+}
+
 /// Events exchanged through the scheduler.
 #[derive(Clone, Debug)]
-pub(crate) enum Ev {
+enum Ev {
     /// `node` originates one of its AS's prefixes.
     Originate { node: RouterId, prefix: Prefix },
     /// `node` stops originating `prefix` (burst-withdrawal injection):
@@ -306,53 +300,6 @@ pub(crate) enum Ev {
 /// Wall-clock gap between initial convergence and failure injection.
 const FAILURE_GAP: SimDuration = SimDuration::from_secs(1);
 
-/// Parses a count-valued configuration string (`BGPSIM_SHARDS`,
-/// `BGPSIM_COMMIT_STREAMS`). `None` on anything that is not a
-/// non-negative integer; `name` only labels the warning the env wrapper
-/// prints. Split from the env read so the parsing is unit-testable
-/// without racing other tests on process-global environment state.
-pub(crate) fn parse_count(name: &str, raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring invalid {name}={raw:?} \
-                 (expected a non-negative integer); running with the default"
-            );
-            None
-        }
-    }
-}
-
-/// Reads a count-valued environment variable, warning on stderr (with the
-/// offending value) instead of silently falling back when it is invalid.
-fn env_count(name: &str) -> Option<usize> {
-    let raw = std::env::var(name).ok()?;
-    parse_count(name, &raw)
-}
-
-/// Resolves the epoch-commit stream count from the requested value
-/// (config field or `BGPSIM_COMMIT_STREAMS`) and the resolved shard
-/// count. Returns the stream count plus a flag that is true when the
-/// caller asked for parallel streams (`> 1`) on a run that cannot use
-/// them (`shards <= 1`): the request is clamped away, and the caller
-/// warns on stderr so a mis-set variable does not silently evaporate.
-/// Split from the env read for the same reason as [`parse_count`].
-pub(crate) fn resolve_commit_streams(requested: Option<usize>, shards: usize) -> (usize, bool) {
-    let ignored = matches!(requested, Some(r) if r > 1 && shards <= 1);
-    let streams = requested
-        .unwrap_or_else(|| {
-            // Default: one stream per shard, but never more streams
-            // than cores — on a single-core box the parallel apply
-            // would only add channel traffic, so it stays inline.
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-        })
-        .clamp(1, shards);
-    (streams, ignored)
-}
-
 /// Interns a node configuration in the network-level config arena: every
 /// node built from identical settings shares one allocation, and snapshot
 /// forks keep sharing it. A network has one to three distinct configs in
@@ -368,7 +315,7 @@ fn intern_node_config(arena: &mut Vec<Arc<NodeConfig>>, node_cfg: NodeConfig) ->
 }
 
 /// Normalized router-id pair keying [`Network::dead_links`].
-pub(crate) fn link_key(a: RouterId, b: RouterId) -> (u32, u32) {
+fn link_key(a: RouterId, b: RouterId) -> (u32, u32) {
     if a < b {
         (a.index() as u32, b.index() as u32)
     } else {
@@ -583,16 +530,16 @@ impl MemoryFootprint {
 /// warm-start sweep engine ([`crate::warm`]) builds on it.
 #[derive(Clone)]
 pub struct Network {
-    pub(crate) topo: Topology,
-    pub(crate) cfg: SimConfig,
-    pub(crate) sched: Fel<Ev>,
-    pub(crate) nodes: Vec<Option<BgpNode>>,
+    topo: Topology,
+    cfg: SimConfig,
+    sched: Scheduler<Ev>,
+    nodes: Vec<Option<BgpNode>>,
     /// Deduplicated node configurations (see [`intern_node_config`]):
     /// every node — including revived ones — holds an `Arc` into this
     /// arena instead of its own copy.
     cfg_arena: Vec<Arc<NodeConfig>>,
     /// Session peers per router (eBGP link neighbors + iBGP full mesh).
-    pub(crate) sessions: Vec<Vec<RouterId>>,
+    sessions: Vec<Vec<RouterId>>,
     /// Router that originates each prefix, indexed by the prefix's dense
     /// slot (slots are handed out by `prefix_table` in allocation order;
     /// for the default flat workload slot == `as_index · k + j`).
@@ -608,15 +555,15 @@ pub struct Network {
     /// Per-AS hierarchy tiers policy relationships derive from (explicit
     /// `policy_tiers` or graph-inferred), computed once at construction;
     /// empty when policies are off.
-    pub(crate) tiers: Vec<usize>,
+    tiers: Vec<usize>,
     /// Prefixes withdrawn by burst injection and not re-originated since.
     /// Maintained at injection/revival time only (never from the event
-    /// loop), so serial and sharded runs see identical bookkeeping; the
-    /// ground-truth validators treat these as expected-unreachable.
+    /// loop); the ground-truth validators treat these as
+    /// expected-unreachable.
     withdrawn: std::collections::BTreeSet<Prefix>,
-    pub(crate) last_activity: SimTime,
-    pub(crate) announcements: u64,
-    pub(crate) withdrawals: u64,
+    last_activity: SimTime,
+    announcements: u64,
+    withdrawals: u64,
     failure_time: Option<SimTime>,
     failed_count: usize,
     initial_convergence: SimDuration,
@@ -626,20 +573,10 @@ pub struct Network {
     samples: Vec<Sample>,
     /// Failed links (normalized router-id pairs); their sessions are dead
     /// but the endpoint routers live on.
-    pub(crate) dead_links: std::collections::HashSet<(u32, u32)>,
-    /// Resolved shard count for the event loop (1 = serial).
-    pub(crate) shards: usize,
-    /// Resolved parallel commit-stream count for the sharded loop's epoch
-    /// commit (1 = inline serial apply); always `<= shards`.
-    pub(crate) commit_streams: usize,
-    /// Accumulated per-phase wall-clock spent in the sharded event loop
-    /// (empty for serial runs). Instrumentation only — never part of
-    /// `RunStats`, so bit-identity comparisons are unaffected.
-    pub(crate) shard_timings: crate::shard::ShardPhaseTimings,
+    dead_links: std::collections::HashSet<(u32, u32)>,
     /// Structured trace sink ([`TraceSink::Off`] by default — one branch
-    /// per handler). Events are recorded in global delivery order, so the
-    /// stream is identical under any shard count.
-    pub(crate) trace: crate::trace::TraceSink,
+    /// per handler). Events are recorded in global delivery order.
+    trace: crate::trace::TraceSink,
 }
 
 impl std::fmt::Debug for Network {
@@ -775,36 +712,10 @@ impl Network {
             "the uniform plan must reproduce the flat allocator"
         );
 
-        let shards = cfg
-            .shards
-            .or_else(|| env_count("BGPSIM_SHARDS"))
-            .unwrap_or(1)
-            .max(1);
-        let requested_streams = cfg
-            .commit_streams
-            .or_else(|| env_count("BGPSIM_COMMIT_STREAMS"));
-        let (commit_streams, streams_ignored) = resolve_commit_streams(requested_streams, shards);
-        if streams_ignored {
-            // Warn once per process, like `parse_count` does for garbage
-            // values: asking for parallel commit streams on a serial run
-            // is a configuration mistake worth a line on stderr, not a
-            // silent no-op — but not one line per constructed network.
-            static STREAMS_IGNORED_WARN: std::sync::Once = std::sync::Once::new();
-            STREAMS_IGNORED_WARN.call_once(|| {
-                eprintln!(
-                    "warning: ignoring BGPSIM_COMMIT_STREAMS={} with shards={shards} \
-                     (parallel epoch commit needs a sharded run, BGPSIM_SHARDS > 1); \
-                     running with 1 stream",
-                    requested_streams.expect("flag only set when a value was requested"),
-                );
-            });
-        }
-        let fel_kind = cfg.fel.or_else(FelKind::from_env).unwrap_or_default();
-
         Network {
             topo,
             cfg,
-            sched: Fel::new(fel_kind),
+            sched: Scheduler::new(),
             nodes,
             cfg_arena,
             sessions,
@@ -824,9 +735,6 @@ impl Network {
             next_sample: SimTime::ZERO,
             samples: Vec::new(),
             dead_links: std::collections::HashSet::new(),
-            shards,
-            commit_streams,
-            shard_timings: crate::shard::ShardPhaseTimings::default(),
             trace: crate::trace::TraceSink::Off,
         }
     }
@@ -862,43 +770,35 @@ impl Network {
     }
 
     /// Stamps and records the events `node` buffered while its handler
-    /// ran at `t`. Serial-loop counterpart of the Phase B commit emission
-    /// in the `shard` module; both record in global delivery order.
+    /// ran at `t`, in global delivery order.
     #[inline]
     fn drain_node_trace(&mut self, node: RouterId, t: SimTime) {
         if self.trace.is_off() {
             return;
         }
-        let events = match self.nodes[node.index()].as_mut() {
-            Some(n) => n.take_trace(),
-            None => return,
-        };
-        for ev in events {
-            self.trace.record(t, node, ev);
+        if let Some(n) = self.nodes[node.index()].as_mut() {
+            for ev in n.drain_trace() {
+                self.trace.record(t, node, ev);
+            }
         }
     }
 
-    /// The resolved shard count the event loop runs with (1 = serial).
-    pub fn shard_count(&self) -> usize {
-        self.shards
+    /// Epoch count of the removed partitioned event loop: always 0.
+    ///
+    /// Kept only because the end-to-end benchmark
+    /// (`e2ebench/src/traced.rs::removable_mechanisms`) records it; it
+    /// goes when that function does.
+    pub fn shard_phase_timings(&self) -> ShardPhaseTimings {
+        ShardPhaseTimings::default()
     }
 
-    /// The resolved parallel commit-stream count for the sharded loop's
-    /// epoch commit (1 = inline serial apply). Always `<= shard_count()`;
-    /// purely a wall-clock knob — results are identical for any value.
-    pub fn commit_stream_count(&self) -> usize {
-        self.commit_streams
-    }
-
-    /// Accumulated per-phase wall-clock of the sharded event loop across
-    /// every pump this network has run (all-zero for serial runs).
-    pub fn shard_phase_timings(&self) -> crate::shard::ShardPhaseTimings {
-        self.shard_timings
-    }
-
-    /// The future-event-list backend this network uses.
+    /// The future-event-list backend: always the binary heap.
+    ///
+    /// Kept only because the end-to-end benchmark
+    /// (`e2ebench/src/traced.rs::removable_mechanisms`) records it; it
+    /// goes when that function does.
     pub fn fel_kind(&self) -> FelKind {
-        self.sched.kind()
+        FelKind::Heap
     }
 
     /// Distinct [`NodeConfig`] allocations in the interned config arena.
@@ -1442,19 +1342,6 @@ impl Network {
         for node in self.nodes.iter_mut().flatten() {
             node.set_tracing(tracing);
         }
-        // The sharded loop (conservative PDES with link-delay lookahead,
-        // bit-identical to serial — see the `shard` module) needs a
-        // non-zero lookahead and cannot interleave timeline sampling,
-        // which reads global state mid-epoch; those runs stay serial.
-        // While sharded, `self.sched` is empty — pending events live in
-        // the shard-owned FELs — but its id allocation and delivery
-        // accounting still advance in serial order, so at quiescence the
-        // scheduler's counters (and any snapshot taken of them) are
-        // identical to a serial run's.
-        if self.shards > 1 && self.sample_interval.is_none() && !self.cfg.link_delay.is_zero() {
-            crate::shard::pump_sharded(self);
-            return;
-        }
         // Set BGPSIM_DEBUG_PUMP=1 to watch event-loop progress (useful
         // when diagnosing runaway simulations). Checked once per drain:
         // an env lookup takes the env lock, far too slow per event.
@@ -1857,59 +1744,6 @@ mod tests {
     fn small_topo(seed: u64, n: usize) -> Topology {
         let mut rng = SmallRng::seed_from_u64(seed);
         skewed_topology(n, &SkewedSpec::seventy_thirty(), &mut rng).unwrap()
-    }
-
-    #[test]
-    fn parse_count_accepts_integers_and_rejects_garbage() {
-        // Valid values, including surrounding whitespace.
-        assert_eq!(parse_count("BGPSIM_SHARDS", "4"), Some(4));
-        assert_eq!(parse_count("BGPSIM_SHARDS", " 16 "), Some(16));
-        assert_eq!(parse_count("BGPSIM_COMMIT_STREAMS", "0"), Some(0));
-        // Invalid values warn (to stderr) and fall back to the default.
-        assert_eq!(parse_count("BGPSIM_SHARDS", ""), None);
-        assert_eq!(parse_count("BGPSIM_SHARDS", "four"), None);
-        assert_eq!(parse_count("BGPSIM_SHARDS", "-2"), None);
-        assert_eq!(parse_count("BGPSIM_SHARDS", "2.5"), None);
-        assert_eq!(parse_count("BGPSIM_COMMIT_STREAMS", "2,4"), None);
-    }
-
-    #[test]
-    fn commit_stream_resolution_clamps_to_shards() {
-        let topo = small_topo(3, 10);
-        let mut cfg = SimConfig::new(1);
-        cfg.shards = Some(4);
-        cfg.commit_streams = Some(64);
-        assert_eq!(Network::new(topo, cfg).commit_stream_count(), 4);
-
-        let topo = small_topo(3, 10);
-        let mut cfg = SimConfig::new(1);
-        cfg.shards = Some(4);
-        cfg.commit_streams = Some(0);
-        let net = Network::new(topo, cfg);
-        assert_eq!(net.commit_stream_count(), 1, "0 means inline apply");
-        assert_eq!(
-            net.shard_phase_timings().epochs,
-            0,
-            "no pump has run yet, timings start empty"
-        );
-    }
-
-    #[test]
-    fn commit_streams_request_without_shards_is_flagged() {
-        // > 1 streams requested on a serial run: clamped to 1 AND flagged
-        // so `Network::new` prints the once-per-process stderr warning —
-        // previously this evaporated silently.
-        assert_eq!(resolve_commit_streams(Some(4), 1), (1, true));
-        assert_eq!(resolve_commit_streams(Some(2), 1), (1, true));
-        // 1 (or 0 = "inline apply") is exactly what a serial run does
-        // anyway — nothing is being ignored, so no warning.
-        assert_eq!(resolve_commit_streams(Some(1), 1), (1, false));
-        assert_eq!(resolve_commit_streams(Some(0), 1), (1, false));
-        // Sharded runs honor the request, clamped to the shard count.
-        assert_eq!(resolve_commit_streams(Some(4), 2), (2, false));
-        assert_eq!(resolve_commit_streams(Some(2), 4), (2, false));
-        // No request at all: the default is never "ignored".
-        assert_eq!(resolve_commit_streams(None, 1), (1, false));
     }
 
     #[test]

@@ -11,19 +11,11 @@
 //!
 //! ## Determinism
 //!
-//! The stream is a pure function of the simulation: the serial loop
-//! stamps each handler's events at delivery, and the sharded loop's
-//! Phase B walk replays the epoch in the same global `(time, id)` order
-//! (see the `shard` module) — shard-owned FELs move *where* events wait,
-//! never the walk order that emission follows. With the parallel commit
-//! the per-event trace batches travel through the
-//! destination-partitioned commit streams tagged with their walk
-//! position, and the deterministic merge emits them back in exactly
-//! that order — so a trace taken at `BGPSIM_SHARDS=N` is
-//! **byte-identical** to the serial one for any shard *and*
-//! commit-stream count. Recording never touches node RNGs
-//! or timers, so a traced run also produces bit-identical
-//! [`RunStats`](crate::RunStats) to an untraced one.
+//! The stream is a pure function of the simulation: the event loop
+//! stamps each handler's events at delivery, in the global `(time, id)`
+//! delivery order. Recording never touches node RNGs or timers, so a
+//! traced run also produces bit-identical [`RunStats`](crate::RunStats)
+//! to an untraced one.
 //!
 //! ## Sinks
 //!
@@ -56,8 +48,7 @@ use serde::{Deserialize, Serialize};
 /// One stamped trace record: a [`NodeEvent`] plus its global coordinates.
 ///
 /// `seq` is a global, gap-free emission counter — the total order of the
-/// stream. Two runs of the same simulation produce identical sequences
-/// regardless of shard count.
+/// stream. Two runs of the same simulation produce identical sequences.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Position in the global emission order (0-based, gap-free).

@@ -28,12 +28,6 @@
 //! [`RunStats`](crate::metrics::RunStats) to a cold run — locked by the
 //! `warm_start_prop` property test over all three scheme families.
 //!
-//! Sharded runs snapshot identically: pumps only move pending events into
-//! shard-owned FELs *during* a drain (DESIGN.md §13) and return them fully
-//! consumed, with the central scheduler's clock, id and delivery counters
-//! advanced exactly as a serial drain would have — so a snapshot taken at
-//! quiescence never sees shard-local state, whatever the shard count.
-//!
 //! # Trace state across forks
 //!
 //! A snapshot carries the prototype's [`TraceSink`](crate::trace::TraceSink)

@@ -11,26 +11,6 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub(crate) u64);
 
-impl EventId {
-    /// The raw sequence number backing this id (monotone in schedule order).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds an id from its raw sequence number.
-    ///
-    /// The inverse of [`as_u64`](EventId::as_u64), for callers that ship id
-    /// numbers across threads (the sharded commit's parallel apply streams)
-    /// and hand them back via
-    /// [`insert_allocated`](crate::Scheduler::insert_allocated). The number
-    /// must come from a previous [`alloc_id`](crate::Scheduler::alloc_id) /
-    /// `schedule` on the same list; fabricated ids break the determinism
-    /// contract.
-    pub fn from_u64(raw: u64) -> EventId {
-        EventId(raw)
-    }
-}
-
 /// A heap entry: ordered by time, then by insertion sequence so that events
 /// scheduled for the same instant fire in FIFO order.
 #[derive(Clone)]

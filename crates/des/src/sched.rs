@@ -124,7 +124,9 @@ impl<E> Scheduler<E> {
             "cannot schedule event at {at} before current time {}",
             self.now
         );
-        let id = self.alloc_id();
+        let id = EventId(self.next_id);
+        self.next_id += 1;
+        self.scheduled += 1;
         self.heap.push(Entry { at, id, payload });
         id
     }
@@ -138,133 +140,6 @@ impl<E> Scheduler<E> {
     /// already queued for this instant.
     pub fn schedule_now(&mut self, payload: E) -> EventId {
         self.schedule(self.now, payload)
-    }
-
-    /// Allocates the next [`EventId`] without enqueueing anything, counting
-    /// it as scheduled.
-    ///
-    /// This is the id-assignment half of [`schedule`], split out for the
-    /// sharded event loop: during an epoch's commit phase, intra-epoch
-    /// events were already executed on a shard worker, but they must still
-    /// consume ids in serial order so that every later id — and therefore
-    /// every same-instant tie-break — is byte-identical to a serial run.
-    ///
-    /// [`schedule`]: Scheduler::schedule
-    pub fn alloc_id(&mut self) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.scheduled += 1;
-        id
-    }
-
-    /// Advances the clock to `at` and counts one delivery, without popping.
-    ///
-    /// The delivery-accounting half of [`next`], split out for the sharded
-    /// event loop: the commit phase replays events that were drained (or
-    /// created) during the epoch and must leave `now`/`delivered` exactly
-    /// as a serial run would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than [`now`].
-    ///
-    /// [`next`]: Scheduler::next
-    pub fn mark_delivered(&mut self, at: SimTime) {
-        assert!(at >= self.now, "delivery clock cannot go backwards");
-        self.now = at;
-        self.delivered += 1;
-    }
-
-    /// Advances the clock to `at` and counts `n` deliveries at once.
-    ///
-    /// Equivalent to `n` [`mark_delivered`](Scheduler::mark_delivered)
-    /// calls ending at `at`: the sharded commit walks a whole epoch in
-    /// order and settles the delivery accounting in one step, with `at`
-    /// the timestamp of the epoch's last event. A no-op when `n == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 0` and `at` is earlier than [`now`](Scheduler::now).
-    pub fn mark_delivered_many(&mut self, at: SimTime, n: u64) {
-        if n == 0 {
-            return;
-        }
-        assert!(at >= self.now, "delivery clock cannot go backwards");
-        self.now = at;
-        self.delivered += n;
-    }
-
-    /// Enqueues `payload` at `at` under an id already handed out by
-    /// [`alloc_id`](Scheduler::alloc_id), without counting it as scheduled
-    /// again.
-    ///
-    /// The enqueue half of [`schedule`](Scheduler::schedule), for the
-    /// sharded engine: ids are allocated in serial order during the epoch
-    /// walk, the payloads are built on parallel apply streams, and each
-    /// destination shard's FEL receives them here. Delivery order is
-    /// unaffected by insertion order — entries are totally ordered by
-    /// `(time, id)` — and the id may come from a *different* scheduler's
-    /// counter (the shard-owned FELs never allocate ids themselves; the
-    /// central walk does). This scheduler's own counter is bumped past
-    /// `id` so a later local allocation can never collide with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than [`now`](Scheduler::now).
-    pub fn insert_allocated(&mut self, at: SimTime, id: EventId, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule event at {at} before current time {}",
-            self.now
-        );
-        self.next_id = self.next_id.max(id.0 + 1);
-        self.heap.push(Entry { at, id, payload });
-    }
-
-    /// Removes and returns every live event strictly before `bound`, in
-    /// delivery order, without advancing the clock or the delivered count.
-    ///
-    /// Cancelled entries encountered on the way are retired. An event
-    /// scheduled exactly at `bound` stays queued — the epoch window is
-    /// half-open, matching the serial engine's delivery order for events
-    /// that land precisely on an epoch boundary.
-    pub fn drain_until(&mut self, bound: SimTime) -> Vec<(SimTime, EventId, E)> {
-        let mut out = Vec::new();
-        while let Some(head) = self.heap.peek() {
-            if head.at >= bound {
-                break;
-            }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            if self.tomb_live > 0 && self.take_tombstone(entry.id) {
-                continue;
-            }
-            out.push((entry.at, entry.id, entry.payload));
-        }
-        out
-    }
-
-    /// Removes and returns every live event in **arbitrary order**, without
-    /// advancing the clock or the delivered count.
-    ///
-    /// The partition step of the sharded engine: at pump start the central
-    /// FEL is emptied wholesale and every event is re-inserted into its
-    /// owning shard's FEL (via [`insert_allocated`]), so inserts and drains
-    /// become shard-local for the rest of the pump. Cancelled entries are
-    /// retired on the way out, never returned. Callers must not rely on
-    /// the ordering — re-insertion re-establishes the `(time, id)` total
-    /// order wherever the events land.
-    ///
-    /// [`insert_allocated`]: Scheduler::insert_allocated
-    pub fn drain_all(&mut self) -> Vec<(SimTime, EventId, E)> {
-        let entries = std::mem::take(&mut self.heap);
-        let mut out = Vec::with_capacity(entries.len());
-        for entry in entries {
-            if self.tomb_live > 0 && self.take_tombstone(entry.id) {
-                continue;
-            }
-            out.push((entry.at, entry.id, entry.payload));
-        }
-        out
     }
 
     /// Cancels a pending event. Returns `true` if the event had not yet
@@ -671,107 +546,6 @@ mod tests {
             "all tombstones were spent (left: {})",
             s.tombstone_count()
         );
-    }
-
-    #[test]
-    fn drain_until_is_strict_and_preserves_clock() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.schedule(SimTime::from_millis(10), 0);
-        s.schedule(SimTime::from_millis(20), 1);
-        let boundary = s.schedule(SimTime::from_millis(25), 2);
-        s.schedule(SimTime::from_millis(30), 3);
-        let drained = s.drain_until(SimTime::from_millis(25));
-        assert_eq!(
-            drained
-                .iter()
-                .map(|&(at, id, p)| (at, id.as_u64(), p))
-                .collect::<Vec<_>>(),
-            vec![
-                (SimTime::from_millis(10), 0, 0),
-                (SimTime::from_millis(20), 1, 1),
-            ],
-            "an event exactly on the bound stays queued"
-        );
-        assert_eq!(s.now(), SimTime::ZERO, "drain does not advance the clock");
-        assert_eq!(s.delivered_count(), 0, "drained events are not delivered");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.peek_time(), Some(SimTime::from_millis(25)));
-        let _ = boundary;
-    }
-
-    #[test]
-    fn drain_until_retires_tombstones() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        let a = s.schedule(SimTime::from_millis(1), 0);
-        s.schedule(SimTime::from_millis(2), 1);
-        s.cancel(a);
-        let drained = s.drain_until(SimTime::from_millis(10));
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].2, 1);
-        assert_eq!(s.tombstone_count(), 0);
-    }
-
-    #[test]
-    fn alloc_id_and_mark_delivered_match_serial_accounting() {
-        // Replaying `schedule` + `next` through the split APIs must leave
-        // identical observable state.
-        let mut serial: Scheduler<u32> = Scheduler::new();
-        serial.schedule(SimTime::from_millis(5), 10);
-        serial.schedule(SimTime::from_millis(7), 11);
-        serial.next();
-        serial.next();
-        let after = serial.schedule(SimTime::from_millis(9), 12);
-
-        let mut split: Scheduler<u32> = Scheduler::new();
-        split.schedule(SimTime::from_millis(5), 10);
-        split.schedule(SimTime::from_millis(7), 11);
-        for (at, _id, _p) in split.drain_until(SimTime::from_millis(8)) {
-            split.mark_delivered(at);
-        }
-        let alloc = split.alloc_id();
-        assert_eq!(alloc, after, "alloc_id tracks the serial id counter");
-        assert_eq!(split.now(), serial.now());
-        assert_eq!(split.delivered_count(), serial.delivered_count());
-        assert_eq!(split.scheduled_count(), serial.scheduled_count());
-    }
-
-    #[test]
-    fn insert_allocated_matches_schedule_order_and_counts() {
-        // alloc first, insert later, in arbitrary insertion order — the
-        // delivery order and lifetime counters must match a plain
-        // `schedule` sequence with the same (time, id) pairs.
-        let mut serial: Scheduler<u32> = Scheduler::new();
-        serial.schedule(SimTime::from_millis(5), 0);
-        serial.schedule(SimTime::from_millis(5), 1);
-        serial.schedule(SimTime::from_millis(3), 2);
-
-        let mut split: Scheduler<u32> = Scheduler::new();
-        let a = split.alloc_id();
-        let b = split.alloc_id();
-        let c = split.alloc_id();
-        // Insert out of id order: total (time, id) order still governs.
-        split.insert_allocated(SimTime::from_millis(3), c, 2);
-        split.insert_allocated(SimTime::from_millis(5), b, 1);
-        split.insert_allocated(SimTime::from_millis(5), a, 0);
-        assert_eq!(split.scheduled_count(), serial.scheduled_count());
-        assert_eq!(split.len(), serial.len());
-        let x: Vec<_> = std::iter::from_fn(|| split.next()).collect();
-        let y: Vec<_> = std::iter::from_fn(|| serial.next()).collect();
-        assert_eq!(x, y, "insert_allocated must not perturb delivery order");
-    }
-
-    #[test]
-    fn mark_delivered_many_batches_accounting() {
-        let mut one: Scheduler<u8> = Scheduler::new();
-        for i in 1..=5u64 {
-            one.mark_delivered(SimTime::from_millis(i));
-        }
-        let mut many: Scheduler<u8> = Scheduler::new();
-        many.mark_delivered_many(SimTime::from_millis(5), 5);
-        assert_eq!(many.now(), one.now());
-        assert_eq!(many.delivered_count(), one.delivered_count());
-        many.mark_delivered_many(SimTime::from_millis(4), 0); // no-op, no panic
-        assert_eq!(many.now(), SimTime::from_millis(5));
     }
 
     #[test]

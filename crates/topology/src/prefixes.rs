@@ -7,8 +7,7 @@
 //! size into a per-AS *block plan* — how many prefixes each AS originates
 //! and which contiguous CIDR block they are carved from — without touching
 //! any RNG stream: the plan is a pure function of `(as_count, table_size,
-//! skew)`, so workloads stay bit-reproducible and the sharded engine sees
-//! the identical origination schedule.
+//! skew)`, so workloads stay bit-reproducible.
 //!
 //! Blocks are carved address-contiguously in AS order out of `10.0.0.0/8`.
 //! Because the generators place ASes on the grid in id order, contiguous

@@ -20,9 +20,8 @@
 //! * `BGPSIM_TRACE_OUT` — override path for the raw trace JSONL
 //!   (default `<out>/trace.jsonl`).
 //!
-//! Combined with `BGPSIM_SHARDS` / `BGPSIM_COMMIT_STREAMS`, this is the
-//! full-table determinism check: every output file is byte-identical for
-//! any shard or commit-stream count. The trace streams to disk while the
+//! Every output file is a pure function of the knobs above, so two builds
+//! can be compared byte for byte. The trace streams to disk while the
 //! storm runs (a 10^5-prefix burst emits far more events than a memory
 //! ring should hold) and is re-read afterwards for the timeline pass.
 
@@ -65,12 +64,8 @@ fn main() -> std::io::Result<()> {
     let mut net = Network::new(topo, SimConfig::from_scheme(&scheme, seed));
 
     println!(
-        "== fulltable_burst: {} routers × {} prefixes, scheme '{}', {} shard(s), {} stream(s) ==",
-        nodes,
-        table,
-        scheme.name,
-        net.shard_count(),
-        net.commit_stream_count()
+        "== fulltable_burst: {} routers × {} prefixes, scheme '{}' ==",
+        nodes, table, scheme.name
     );
     net.run_initial_convergence();
     println!(

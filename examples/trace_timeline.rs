@@ -13,8 +13,9 @@
 //! * `BGPSIM_SEED` — simulation seed (default 7).
 //! * `BGPSIM_OUT` — CSV output directory (default `target/trace_timeline`).
 //! * `BGPSIM_TRACE_OUT` — when set, additionally writes the raw trace as
-//!   JSONL to this path. Combined with `BGPSIM_SHARDS`, this is the CI
-//!   determinism check: the stream is byte-identical for any shard count.
+//!   JSONL to this path. The stream is a pure function of the knobs
+//!   above, so comparing it across two builds is a byte-level check that
+//!   a change left the simulation untouched.
 
 use std::path::PathBuf;
 
@@ -53,10 +54,8 @@ fn main() -> std::io::Result<()> {
     let mut net = Network::new(topo, cfg);
 
     println!(
-        "== trace_timeline: {} routers, scheme '{}', {} shard(s) ==",
-        nodes,
-        scheme.name,
-        net.shard_count()
+        "== trace_timeline: {} routers, scheme '{}' ==",
+        nodes, scheme.name
     );
     net.run_initial_convergence();
     net.inject_failure(&FailureSpec::CenterFraction(0.10));

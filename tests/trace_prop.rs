@@ -7,14 +7,9 @@
 //!    perturb the simulation: `RunStats` is field-identical to the same
 //!    run with `TraceSink::Off`. The sink only observes; it never feeds
 //!    back into event timing or ordering.
-//! 2. **Traces are deterministic across shard counts.** The JSONL
-//!    serialization of the event stream from a sharded run
-//!    (`SimConfig::shards`) — with the destination-partitioned parallel
-//!    commit enabled (`SimConfig::commit_streams`) — is byte-identical
-//!    to the serial run's. This is stronger than equal `RunStats`: every
-//!    event, every field, every sequence number must match, which pins
-//!    both the Phase B walk order and the plan-index trace merge in
-//!    `shard.rs`.
+//! 2. **Traces are deterministic.** Two traced runs of the same
+//!    simulation serialize to byte-identical JSONL: every event, every
+//!    field, every sequence number.
 
 use bgpsim::metrics::RunStats;
 use bgpsim::network::{Network, SimConfig};
@@ -41,21 +36,16 @@ fn topo(seed: u64, nodes: usize) -> Topology {
     skewed_topology(nodes, &SkewedSpec::seventy_thirty(), &mut rng).unwrap()
 }
 
-/// Converges, injects the failure, then runs the traced re-convergence
-/// phase under `shards` workers. `traced == false` leaves the sink Off.
+/// Converges, injects the failure, then runs the re-convergence phase,
+/// traced into memory when `traced` (the sink stays Off otherwise).
 fn run(
     scheme: &Scheme,
     seed: u64,
     nodes: usize,
     fraction: f64,
-    shards: usize,
     traced: bool,
 ) -> (RunStats, Vec<TraceEvent>) {
-    let mut cfg = SimConfig::from_scheme(scheme, seed);
-    cfg.shards = Some(shards);
-    // One commit stream per shard: sharded runs must stay byte-identical
-    // with the parallel commit on, not just with the serial replay.
-    cfg.commit_streams = Some(shards);
+    let cfg = SimConfig::from_scheme(scheme, seed);
     let mut net = Network::new(topo(seed, nodes), cfg);
     net.run_initial_convergence();
     net.inject_failure(&FailureSpec::CenterFraction(fraction));
@@ -67,12 +57,12 @@ fn run(
 }
 
 proptest! {
-    // Each case runs 4 full simulations (serial off/on + 2 sharded);
-    // keep the count low and the networks small.
+    // Each case runs 3 full simulations; keep the count low and the
+    // networks small.
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     #[test]
-    fn tracing_is_invisible_and_shard_deterministic(
+    fn tracing_is_invisible_and_deterministic(
         nodes in 15usize..30,
         seed in 0u64..10_000,
         fraction_idx in 0usize..3,
@@ -82,8 +72,8 @@ proptest! {
         let scheme = &schemes()[scheme_idx];
 
         // Contract 1: Off vs Memory — field-identical RunStats.
-        let (stats_off, no_events) = run(scheme, seed, nodes, fraction, 1, false);
-        let (stats_mem, events) = run(scheme, seed, nodes, fraction, 1, true);
+        let (stats_off, no_events) = run(scheme, seed, nodes, fraction, false);
+        let (stats_mem, events) = run(scheme, seed, nodes, fraction, true);
         prop_assert_eq!(no_events.len(), 0, "Off sink must record nothing");
         prop_assert_eq!(
             stats_mem,
@@ -95,28 +85,16 @@ proptest! {
             !events.is_empty(),
             "a traced re-convergence must record events"
         );
-        let serial_jsonl = to_jsonl(&events);
 
-        // Contract 2: serial vs sharded — byte-identical JSONL streams,
-        // with the parallel destination-partitioned commit engaged.
-        for shards in [2usize, 4] {
-            let (stats, events) = run(scheme, seed, nodes, fraction, shards, true);
-            prop_assert_eq!(
-                stats,
-                stats_off,
-                "RunStats diverged: scheme={} shards={}",
-                scheme.name,
-                shards
-            );
-            let jsonl = to_jsonl(&events);
-            prop_assert!(
-                jsonl == serial_jsonl,
-                "trace streams diverged: scheme={} shards={} ({} vs {} bytes)",
-                scheme.name,
-                shards,
-                jsonl.len(),
-                serial_jsonl.len()
-            );
-        }
+        // Contract 2: a second traced run — byte-identical JSONL.
+        let (_, again) = run(scheme, seed, nodes, fraction, true);
+        let (first, second) = (to_jsonl(&events), to_jsonl(&again));
+        prop_assert!(
+            first == second,
+            "trace streams diverged: scheme={} ({} vs {} bytes)",
+            scheme.name,
+            first.len(),
+            second.len()
+        );
     }
 }
